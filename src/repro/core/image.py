@@ -211,8 +211,12 @@ class Router:
             # (Fig. 3 step 3b).
             self.direct_calls += 1
             ctx.clock.charge(self.costs.function_call)
-            with ctx.in_library(library):
+            previous_lib = ctx.current_library
+            ctx.current_library = library
+            try:
                 return func(*args, **kwargs)
+            finally:
+                ctx.current_library = previous_lib
         name = getattr(func, "__name__", str(func))
         declared_entry = (
             getattr(func, "__flexos_entry__", False)

@@ -275,7 +275,16 @@ class FsError(ReproError):
 
 
 class NetworkError(ReproError):
-    """A network-stack operation failed."""
+    """A network-stack operation failed.
+
+    ``reason`` is a short key naming what was wrong (``runt``,
+    ``checksum``, ``proto``, ...).  The receive path counts dropped
+    frames under it.
+    """
+
+    def __init__(self, message="", reason="error"):
+        super().__init__(message)
+        self.reason = reason
 
 
 class SchedulerError(ReproError):

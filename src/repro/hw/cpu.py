@@ -80,6 +80,9 @@ class ExecutionContext:
         #: the slow path.  Purely a wall-clock optimisation — see
         #: :mod:`repro.hw.tlb`.
         self.tlb = PermissionTLB() if default_enabled() else None
+        #: Micro-library whose code is executing.  Each call path into a
+        #: library (direct call, gate, no-router entry point) saves it,
+        #: assigns it and restores it in a ``finally``.
         self.current_library = None
         self.current_thread = None
         #: Gate-transition counters, keyed by (from_comp, to_comp).
@@ -130,16 +133,6 @@ class ExecutionContext:
 
     def total_transitions(self):
         return sum(self.transitions.values())
-
-    @contextmanager
-    def in_library(self, library):
-        """Track which micro-library's code is executing."""
-        previous = self.current_library
-        self.current_library = library
-        try:
-            yield
-        finally:
-            self.current_library = previous
 
     def __repr__(self):
         return "ExecutionContext(comp=%s lib=%s cycles=%.0f)" % (

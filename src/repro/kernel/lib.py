@@ -100,8 +100,12 @@ def entrypoint(library):
                 return func(*args, **kwargs)
             if ctx.router is not None:
                 return ctx.router.route(library, func, args, kwargs)
-            with ctx.in_library(library):
+            previous_lib = ctx.current_library
+            ctx.current_library = library
+            try:
                 return func(*args, **kwargs)
+            finally:
+                ctx.current_library = previous_lib
 
         wrapper.__flexos_library__ = library
         wrapper.__flexos_entry__ = True

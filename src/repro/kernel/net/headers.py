@@ -7,6 +7,7 @@ sizes seen by the cost model equal what real frames would carry.
 
 from __future__ import annotations
 
+import functools
 import struct
 
 from repro.errors import NetworkError
@@ -34,25 +35,39 @@ PSH = 0x08
 ACK = 0x10
 
 
+# The four address converters run on every frame in and out, always on
+# the same handful of addresses, so each is memoised.  The caches are
+# bounded so a stream of distinct (hostile) addresses cannot grow memory,
+# and ``lru_cache`` never caches an exception: bad input raises every time.
+@functools.lru_cache(maxsize=256)
 def mac_bytes(mac):
     """Convert ``aa:bb:cc:dd:ee:ff`` to 6 raw bytes."""
     parts = mac.split(":")
     if len(parts) != 6:
         raise NetworkError("bad MAC address %r" % mac)
-    return bytes(int(p, 16) for p in parts)
+    try:
+        return bytes(int(p, 16) for p in parts)
+    except ValueError:
+        raise NetworkError("bad MAC address %r" % mac) from None
 
 
+@functools.lru_cache(maxsize=256)
 def mac_str(raw):
     return ":".join("%02x" % b for b in raw)
 
 
+@functools.lru_cache(maxsize=256)
 def ip_bytes(ip):
     parts = ip.split(".")
     if len(parts) != 4:
         raise NetworkError("bad IPv4 address %r" % ip)
-    return bytes(int(p) for p in parts)
+    try:
+        return bytes(int(p) for p in parts)
+    except ValueError:
+        raise NetworkError("bad IPv4 address %r" % ip) from None
 
 
+@functools.lru_cache(maxsize=256)
 def ip_str(raw):
     return ".".join(str(b) for b in raw)
 
@@ -60,10 +75,8 @@ def ip_str(raw):
 def checksum16(data):
     """RFC 1071 ones-complement sum over 16-bit words."""
     if len(data) % 2:
-        data += b"\x00"
-    total = 0
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
+        data = bytes(data) + b"\x00"
+    total = sum(struct.unpack("!%dH" % (len(data) // 2), data))
     while total >> 16:
         total = (total & 0xFFFF) + (total >> 16)
     return (~total) & 0xFFFF
@@ -85,7 +98,8 @@ class EthernetHeader:
     @classmethod
     def unpack(cls, frame):
         if len(frame) < ETH_HEADER_LEN:
-            raise NetworkError("runt ethernet frame (%d bytes)" % len(frame))
+            raise NetworkError("runt ethernet frame (%d bytes)" % len(frame),
+                               reason="runt")
         dst = mac_str(frame[0:6])
         src = mac_str(frame[6:12])
         (ethertype,) = struct.unpack("!H", frame[12:14])
@@ -116,13 +130,15 @@ class Ipv4Header:
     @classmethod
     def unpack(cls, packet):
         if len(packet) < IP_HEADER_LEN:
-            raise NetworkError("truncated IPv4 header")
+            raise NetworkError("truncated IPv4 header", reason="truncated")
         (vihl, _tos, total_len, ident, _frag, ttl, proto, _csum,
          src, dst) = struct.unpack("!BBHHHBBH4s4s", packet[:IP_HEADER_LEN])
         if vihl >> 4 != 4:
-            raise NetworkError("not an IPv4 packet (version %d)" % (vihl >> 4))
+            raise NetworkError("not an IPv4 packet (version %d)" % (vihl >> 4),
+                               reason="version")
         if checksum16(packet[:IP_HEADER_LEN]) != 0:
-            raise NetworkError("IPv4 header checksum mismatch")
+            raise NetworkError("IPv4 header checksum mismatch",
+                               reason="checksum")
         header = cls(ip_str(src), ip_str(dst), proto, total_len,
                      ident=ident, ttl=ttl)
         return header, packet[IP_HEADER_LEN:total_len]
@@ -150,7 +166,7 @@ class TcpHeader:
     @classmethod
     def unpack(cls, segment):
         if len(segment) < TCP_HEADER_LEN:
-            raise NetworkError("truncated TCP header")
+            raise NetworkError("truncated TCP header", reason="truncated")
         (src_port, dst_port, seq, ack, offset, flags, window,
          _csum, _urg) = struct.unpack("!HHIIBBHHH", segment[:TCP_HEADER_LEN])
         data_off = (offset >> 4) * 4
@@ -190,10 +206,11 @@ class ArpHeader:
     @classmethod
     def unpack(cls, packet):
         if len(packet) < 28:
-            raise NetworkError("truncated ARP packet")
+            raise NetworkError("truncated ARP packet", reason="truncated")
         htype, ptype, hlen, plen, oper = struct.unpack("!HHBBH", packet[:8])
         if htype != 1 or ptype != ETHERTYPE_IPV4:
-            raise NetworkError("unsupported ARP hardware/protocol type")
+            raise NetworkError("unsupported ARP hardware/protocol type",
+                               reason="arp")
         return cls(
             oper,
             mac_str(packet[8:14]), ip_str(packet[14:18]),
@@ -222,9 +239,9 @@ class IcmpHeader:
     @classmethod
     def unpack(cls, packet):
         if len(packet) < 8:
-            raise NetworkError("truncated ICMP packet")
+            raise NetworkError("truncated ICMP packet", reason="truncated")
         if checksum16(packet) != 0:
-            raise NetworkError("ICMP checksum mismatch")
+            raise NetworkError("ICMP checksum mismatch", reason="checksum")
         icmp_type, _code, _csum, ident, seq = struct.unpack(
             "!BBHHH", packet[:8],
         )
@@ -246,7 +263,7 @@ class UdpHeader:
     @classmethod
     def unpack(cls, datagram):
         if len(datagram) < UDP_HEADER_LEN:
-            raise NetworkError("truncated UDP header")
+            raise NetworkError("truncated UDP header", reason="truncated")
         src_port, dst_port, length, _csum = struct.unpack(
             "!HHHH", datagram[:UDP_HEADER_LEN]
         )

@@ -49,6 +49,8 @@ class NetworkStack:
         self.last_src_ip = None
         self.frames_in = 0
         self.frames_out = 0
+        #: Received frames dropped as malformed: reason -> count.
+        self.drops = {}
         #: ARP cache: ip -> mac; packets parked while resolution runs.
         self.arp_table = {}
         self._arp_pending = {}  # ip -> [(proto, body), ...]
@@ -145,7 +147,12 @@ class NetworkStack:
             frame = self.device.poll()
             if frame is None:
                 break
-            self._input(frame)
+            try:
+                self._input(frame)
+            except NetworkError as err:
+                # A malformed frame is dropped and counted, as lwIP
+                # does; it must not abandon the rest of the queue.
+                self.drops[err.reason] = self.drops.get(err.reason, 0) + 1
             processed += 1
         return processed
 
@@ -171,7 +178,8 @@ class NetworkStack:
         elif ip_header.proto == PROTO_ICMP:
             self._icmp_input(ip_header, body)
         else:
-            raise NetworkError("unknown IP proto %d" % ip_header.proto)
+            raise NetworkError("unknown IP proto %d" % ip_header.proto,
+                               reason="proto")
 
     def _tcp_input(self, ip_header, body):
         work(self.costs.tcp_segment)

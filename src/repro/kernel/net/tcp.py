@@ -48,6 +48,21 @@ class TcpState(enum.Enum):
 class TcpConnection:
     """One TCP endpoint (identified by the local/remote 4-tuple)."""
 
+    #: Receive handler per state, by method name.  A class-level table,
+    #: so a received segment costs one lookup, not a dict build.
+    _SEGMENT_HANDLERS = {
+        TcpState.LISTEN: "_seg_listen",
+        TcpState.SYN_SENT: "_seg_syn_sent",
+        TcpState.SYN_RCVD: "_seg_syn_rcvd",
+        TcpState.ESTABLISHED: "_seg_established",
+        TcpState.FIN_WAIT_1: "_seg_fin_wait_1",
+        TcpState.FIN_WAIT_2: "_seg_fin_wait_2",
+        TcpState.CLOSE_WAIT: "_seg_close_wait",
+        TcpState.LAST_ACK: "_seg_last_ack",
+        TcpState.TIME_WAIT: "_seg_ignore",
+        TcpState.CLOSED: "_seg_ignore",
+    }
+
     def __init__(self, stack, local_ip, local_port, remote_ip=None,
                  remote_port=None, isn=1000):
         self.stack = stack
@@ -211,19 +226,7 @@ class TcpConnection:
         if tracer.enabled:
             tracer.tcp_segment("rx", header.flags, len(payload),
                                port=self.local_port)
-        handler = {
-            TcpState.LISTEN: self._seg_listen,
-            TcpState.SYN_SENT: self._seg_syn_sent,
-            TcpState.SYN_RCVD: self._seg_syn_rcvd,
-            TcpState.ESTABLISHED: self._seg_established,
-            TcpState.FIN_WAIT_1: self._seg_fin_wait_1,
-            TcpState.FIN_WAIT_2: self._seg_fin_wait_2,
-            TcpState.CLOSE_WAIT: self._seg_close_wait,
-            TcpState.LAST_ACK: self._seg_last_ack,
-            TcpState.TIME_WAIT: self._seg_ignore,
-            TcpState.CLOSED: self._seg_ignore,
-        }[self.state]
-        handler(header, payload)
+        getattr(self, self._SEGMENT_HANDLERS[self.state])(header, payload)
 
     def _seg_ignore(self, header, payload):
         pass

@@ -16,6 +16,7 @@ from repro.hw.cpu import (
 )
 from repro.hw.memory import PhysicalMemory
 from repro.hw.mmu import MMU
+from repro.kernel.lib import entrypoint
 from tests.conftest import make_config
 
 
@@ -57,13 +58,38 @@ class TestContextMachinery:
                 raise RuntimeError
         assert maybe_current_context() is None
 
-    def test_in_library_nesting(self, ctx):
-        with ctx.in_library("lwip"):
-            assert ctx.current_library == "lwip"
-            with ctx.in_library("uksched"):
-                assert ctx.current_library == "uksched"
-            assert ctx.current_library == "lwip"
-        assert ctx.current_library is None
+    def test_in_library_nesting(self, mpk_instance):
+        # Nested routed entry-point calls: a direct call (vfscore shares
+        # the default compartment), a gate into lwip's compartment, and a
+        # gate back out to uksched.  Each level restores the library.
+        seen = []
+
+        def note():
+            seen.append(current_context().current_library)
+
+        @entrypoint("uksched")
+        def inner():
+            note()
+
+        @entrypoint("lwip")
+        def middle():
+            note()
+            inner()
+            note()
+
+        @entrypoint("vfscore")
+        def outer():
+            note()
+            middle()
+            note()
+
+        with mpk_instance.run():
+            ctx = mpk_instance.ctx
+            outer()
+            assert ctx.current_library is None
+        assert seen == ["vfscore", "lwip", "uksched", "lwip", "vfscore"]
+        assert mpk_instance.router.direct_calls >= 1
+        assert mpk_instance.router.gated_calls == 2
 
     def test_charge_work_without_multiplier(self, ctx):
         ctx.charge_work(100, library="anything")

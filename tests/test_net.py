@@ -181,6 +181,67 @@ class TestDataTransfer:
         assert conn.snd_una == conn.snd_nxt  # fully acknowledged
 
 
+def hostile_frames(target, src_ip):
+    """One malformed frame of each kind, addressed to ``target``."""
+    eth = EthernetHeader(target.device.mac, "02:00:00:00:00:66").pack()
+    tcp = TcpHeader(4444, 80, seq=1, ack=0, flags=ACK).pack()
+
+    def ip(proto, body):
+        return Ipv4Header(src_ip, target.ip, proto, 20 + len(body)).pack()
+
+    bad_csum = bytearray(ip(6, tcp))
+    bad_csum[8] ^= 0x01  # TTL changed, checksum not
+    bad_version = bytearray(ip(6, tcp))
+    bad_version[0] = 0x65
+    return {
+        "runt": eth[:9],
+        "truncated": eth + ip(6, tcp)[:12],
+        "checksum": eth + bytes(bad_csum) + tcp,
+        "version": eth + bytes(bad_version) + tcp,
+        "proto": eth + ip(99, b"junk") + b"junk",
+    }
+
+
+class TestHostileFrames:
+    """Malformed frames are dropped and counted; live traffic goes on."""
+
+    def test_bad_frames_among_live_tcp_traffic(self, pair):
+        server, client = pair
+        listener = server.tcp_listen(80)
+        conn = client.tcp_connect("10.0.0.2", 80)
+        settle(server, client)
+        accepted = server.tcp_accept(listener)
+        to_server = hostile_frames(server, client.ip)
+        to_client = hostile_frames(client, server.ip)
+        requests = [b"GET /%d" % i for i in range(len(to_server))]
+        received = b""
+        for request, server_bad, client_bad in zip(
+                requests, to_server.values(), to_client.values()):
+            # The bad frame sits ahead of the good segment in one queue.
+            server.device.rx_queue.append(server_bad)
+            client.tcp_send(conn, request)
+            settle(server, client)
+            received += server.tcp_recv(accepted, 4096)
+            client.device.rx_queue.append(client_bad)
+            server.tcp_send(accepted, b"OK " + request)
+            settle(server, client)
+            assert client.tcp_recv(conn, 4096) == b"OK " + request
+        assert received == b"".join(requests)
+        expected = {kind: 1 for kind in to_server}
+        assert server.drops == expected
+        assert client.drops == expected
+
+    def test_drained_queue_in_one_pump(self, pair):
+        server, client = pair
+        bad = hostile_frames(server, client.ip)
+        frames = list(bad.values()) * 2
+        server.device.rx_queue.extend(frames)
+        assert server.pump() == len(frames)
+        assert not server.device.has_rx
+        assert server.drops == {kind: 2 for kind in bad}
+        assert server.frames_in == len(frames)
+
+
 class TestLossRecovery:
     def test_retransmission_after_drop(self, pair):
         server, client = pair
