@@ -104,18 +104,8 @@ def _tracer_scope(trace, tracer, clock):
 
 
 def run_functional_redis(mechanism, n_requests=40, isolate=None,
-                         mpk_gate="full", trace=False, tracer=None,
-                         compile_engine=False):
-    """Serve ``n_requests`` Redis commands over the real TCP stack.
-
-    ``compile_engine=True`` attaches the trace-driven datapath compiler
-    (:func:`repro.compile.attach`) after boot; it is opt-in because plan
-    elision changes the virtual gate/check counts the committed
-    functional baselines pin.  The ``FLEXOS_COMPILE`` kill switch still
-    applies (attach becomes a no-op when off).
-    """
-    from repro import compile as datapath_compile
-
+                         mpk_gate="full", trace=False, tracer=None):
+    """Serve ``n_requests`` Redis commands over the real TCP stack."""
     isolate = isolate if isolate is not None else DEFAULT_ISOLATE["redis"]
     costs = CostModel.xeon_4114()
     machine = Machine(costs)
@@ -124,8 +114,6 @@ def run_functional_redis(mechanism, n_requests=40, isolate=None,
         build_image(config_for(mechanism, isolate, mpk_gate)),
         machine=machine, net_device=link.a,
     ).boot()
-    if compile_engine:
-        datapath_compile.attach(instance)
     host = HostEndpoint(link.b, "10.0.0.1", costs, machine.clock)
     tracer, scope = _tracer_scope(trace, tracer, machine.clock)
     with scope, instance.run():
@@ -151,22 +139,13 @@ def run_functional_redis(mechanism, n_requests=40, isolate=None,
 
 
 def run_functional_sqlite(mechanism, n_requests=100, isolate=None,
-                          mpk_gate="full", trace=False, tracer=None,
-                          compile_engine=False):
-    """Commit ``n_requests`` INSERTs through the journalled VFS.
-
-    ``compile_engine`` attaches the datapath compiler after boot, as in
-    :func:`run_functional_redis`.
-    """
-    from repro import compile as datapath_compile
-
+                          mpk_gate="full", trace=False, tracer=None):
+    """Commit ``n_requests`` INSERTs through the journalled VFS."""
     isolate = isolate if isolate is not None else DEFAULT_ISOLATE["sqlite"]
     instance = FlexOSInstance(
         build_image(config_for(mechanism, isolate, mpk_gate)),
         machine=Machine(),
     ).boot()
-    if compile_engine:
-        datapath_compile.attach(instance)
     tracer, scope = _tracer_scope(trace, tracer, instance.clock)
     with scope, instance.run():
         engine = SqliteApp.make_engine(instance)

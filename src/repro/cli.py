@@ -475,56 +475,6 @@ def cmd_load(args, out):
     return emit(args, out, text, payload=summary, label="load report")
 
 
-def cmd_compile_report(args, out):
-    """Run an app with the datapath compiler attached and report what it
-    compiled: counters, per-plan hit counts, and deopt reasons."""
-    from repro.bench.functional import run_functional
-    from repro.compile import default_enabled
-
-    if not default_enabled():
-        out.write("datapath compiler disabled (FLEXOS_COMPILE=off)\n")
-        return EXIT_FAIL
-    run = run_functional(
-        args.app, args.mechanism, n_requests=args.requests,
-        mpk_gate=args.mpk_gate, compile_engine=True,
-    )
-    engine = run.ctx.compiler
-    report = engine.report()
-    report["app"] = run.app
-    report["mechanism"] = run.mechanism
-    report["n_requests"] = run.n_requests
-    report["cycles_per_request"] = run.cycles_per_request
-    counters = report["counters"]
-    counter_rows = [(name, str(value))
-                    for name, value in sorted(counters.items())]
-    plan_rows = [
-        (entry["shape"], str(entry["ops"]), str(entry["hits"]),
-         str(entry["epoch"]))
-        for entry in report["plans"]
-    ]
-    sections = [
-        format_table(
-            counter_rows, headers=("counter", "value"),
-            title="compile report: %s/%s, %d requests"
-                  % (run.app, run.mechanism, run.n_requests),
-        ),
-        format_table(
-            plan_rows or [("(no plans compiled)", "-", "-", "-")],
-            headers=("plan shape", "ops", "hits", "epoch"),
-            title="specialized plans",
-        ),
-    ]
-    if report["deopt_reasons"]:
-        sections.append(format_table(
-            [(reason, str(count))
-             for reason, count in report["deopt_reasons"].items()],
-            headers=("deopt reason", "count"),
-            title="deopt reasons",
-        ))
-    return emit(args, out, "\n\n".join(sections), payload=report,
-                label="compile report")
-
-
 def parse_schedule(text):
     """``"rate:n,rate:n"`` → ``[(rate_rps, n_requests), ...]``."""
     phases = []
@@ -596,8 +546,6 @@ def cmd_obs_report(args, out):
         "requests": run.n_requests,
         "cycles/request": "%.0f" % run.cycles_per_request,
     })
-    if args.json:  # deprecated spelling of --format json
-        args.format = "json"
     return emit(args, out, analysis.to_text(top_k=args.top),
                 analysis.to_dict(args.top))
 
@@ -949,22 +897,6 @@ def build_parser():
     add_output_options(p_load)
     p_load.set_defaults(func=cmd_load)
 
-    p_compile = sub.add_parser(
-        "compile", help="trace-driven datapath compiler",
-        description="Inspect the trace-driven datapath compiler "
-                    "(docs/compiler.md).",
-    )
-    compile_sub = p_compile.add_subparsers(dest="compile_cmd", required=True)
-    p_creport = compile_sub.add_parser(
-        "report", help="run an app compiled and dump plans + counters",
-        description="Run a functional workload with the compiler "
-                    "attached, then report compiled plans, hit counts, "
-                    "and deopt reasons.",
-    )
-    add_functional_args(p_creport)
-    add_output_options(p_creport)
-    p_creport.set_defaults(func=cmd_compile_report)
-
     p_autotune = sub.add_parser(
         "autotune", help="closed-loop isolation autotuning under live "
                          "load",
@@ -1032,8 +964,6 @@ def build_parser():
     add_functional_args(p_oreport)
     p_oreport.add_argument("--top", type=int, default=10,
                            help="gate pairs / libraries to show")
-    p_oreport.add_argument("--json", action="store_true",
-                           help=argparse.SUPPRESS)  # use --format json
     add_output_options(p_oreport)
     p_oreport.set_defaults(func=cmd_obs_report)
 

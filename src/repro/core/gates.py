@@ -128,30 +128,6 @@ class Gate:
                 raise
 
     def _call_once(self, ctx, library, func, args, kwargs):
-        """One crossing, teed through the datapath compiler when active.
-
-        With an engine recording, the crossing runs interpreted while its
-        enter/leave bracket is captured; with an engine executing a plan,
-        a crossing the plan marked ``coalesced`` (its predecessor left the
-        same gate) skips the per-crossing accounting via
-        :meth:`_call_coalesced` — the domain transition itself still
-        happens either way.
-        """
-        engine = getattr(ctx, "compiler", None)
-        if engine is not None and engine.state:
-            if engine.state == 2 and engine.on_gate_enter(self, ctx):
-                return self._call_coalesced(ctx, library, func, args,
-                                            kwargs, engine)
-            if engine.state == 1:
-                engine.on_gate_record_enter(self, ctx)
-            try:
-                return self._call_interpreted(ctx, library, func, args,
-                                              kwargs)
-            finally:
-                engine.on_gate_leave(self, ctx)
-        return self._call_interpreted(ctx, library, func, args, kwargs)
-
-    def _call_interpreted(self, ctx, library, func, args, kwargs):
         """One crossing: enter, run, and unwind symmetrically.
 
         The unwind is exception-safe at every stage: even when
@@ -210,58 +186,6 @@ class Gate:
             if span is not None:
                 tracer.gate_end(span, ctx, status=status,
                                 overhead=overhead)
-
-    def _call_coalesced(self, ctx, library, func, args, kwargs, engine):
-        """One crossing whose per-crossing accounting a plan coalesced.
-
-        The domain transition is still performed — the callee runs in its
-        own compartment with exactly the PKRU/address-space/stack state
-        the interpreted path would install (``_enter_elided`` differs
-        from ``_enter`` only in *bookkeeping*), and the unwind is just as
-        exception-safe.  What is skipped: the crossing counter, the
-        transition record, both one-way charges, the gate span, and the
-        per-crossing register-write events.  The plan applied this edge's
-        transition accounting once for the whole run of consecutive
-        same-gate crossings, which is the win the pass buys.
-        """
-        ctx.gate_depth += 1
-        try:
-            state = self._enter_elided(ctx)
-            previous_comp = ctx.compartment
-            ctx.compartment = self.dst.index
-            try:
-                injector = ctx.fault_injector
-                previous_lib = ctx.current_library
-                ctx.current_library = library
-                try:
-                    if injector is not None:
-                        injector.on_gate_enter(self, ctx)
-                    result = func(*args, **kwargs)
-                finally:
-                    ctx.current_library = previous_lib
-                if injector is not None:
-                    result = injector.on_gate_return(self, ctx, result)
-                return result
-            finally:
-                ctx.compartment = previous_comp
-                self._leave_elided(ctx, state)
-        finally:
-            ctx.gate_depth -= 1
-            engine.on_gate_leave(self, ctx)
-
-    # -- coalesced-crossing hooks ---------------------------------------------
-    def _enter_elided(self, ctx):
-        """Domain entry minus per-crossing bookkeeping.
-
-        Default: identical to :meth:`_enter` — subclasses whose entry
-        mixes state mutation with charges/events override this to keep
-        only the mutation.
-        """
-        return self._enter(ctx)
-
-    def _leave_elided(self, ctx, state):
-        """Domain exit minus per-crossing bookkeeping."""
-        self._leave(ctx, state)
 
 
 class FunctionCallGate(Gate):
@@ -332,22 +256,6 @@ class MpkLightGate(Gate):
         if ctx.pkru is not None and state is not None:
             ctx.pkru.restore(state)
 
-    def _enter_elided(self, ctx):
-        # Coalesced crossing: identical register state to _enter, always
-        # via the single-write mask path — the per-key pkru events are
-        # exactly the per-crossing bookkeeping coalescing elides.
-        pkru = ctx.pkru
-        if pkru is None:
-            return None
-        snap = pkru.snapshot()
-        deny, allow = self._transition_masks()
-        pkru.apply_transition(deny, allow)
-        return snap
-
-    def _leave_elided(self, ctx, state):
-        if ctx.pkru is not None and state is not None:
-            ctx.pkru.restore_quiet(state)
-
 
 class MpkFullGate(MpkLightGate):
     """HODOR-style gate with register isolation and stack switching.
@@ -371,21 +279,13 @@ class MpkFullGate(MpkLightGate):
 
     def _enter(self, ctx):
         snap = super()._enter(ctx)
-        self._ensure_stack(ctx)
-        return snap
-
-    def _enter_elided(self, ctx):
-        snap = super()._enter_elided(ctx)
-        self._ensure_stack(ctx)
-        return snap
-
-    def _ensure_stack(self, ctx):
         thread = ctx.current_thread
         if thread is not None and self.stack_provider is not None:
             # The stack-registry lookup the paper describes; creates the
             # compartment-local stack on first use.
             if thread.stack_for(self.dst.index) is None:
                 self.stack_provider(thread, self.dst)
+        return snap
 
 
 class EptRpcGate(Gate):
@@ -468,27 +368,6 @@ class EptRpcGate(Gate):
         # Return value travels back through the shared window.
         ctx.clock.charge(8 * self.costs.memcpy_per_byte)
         record_space_switch(ctx.address_space, state, "return")
-        ctx.address_space = state
-
-    def _enter_elided(self, ctx):
-        # Coalesced crossing: the descriptor still lands in the window
-        # (the callee must see it — the slice cursor advances — and its
-        # permission check still runs, hoisted by the plan), and the
-        # context still moves into the callee VM's address space.  What
-        # is skipped is this crossing's bookkeeping: the marshalling
-        # charges, and the window-alloc/space-switch events — the EPT
-        # analogue of the MPK gate's per-key PKRU events.
-        if self.window is not None:
-            self.window.allocate(self.src.name, self.DESCRIPTOR_BYTES,
-                                 quiet=True)
-            if self.window.region is not None and ctx.mmu is not None:
-                ctx.mmu.check(ctx, self.window.region, AccessType.WRITE,
-                              symbol="rpc-descriptor")
-        state = ctx.address_space
-        ctx.address_space = self.dst.address_space
-        return state
-
-    def _leave_elided(self, ctx, state):
         ctx.address_space = state
 
 

@@ -189,42 +189,28 @@ class Router:
         token = tracer.entry_begin(library, ctx) if tracer.enabled \
             else None
         try:
-            engine = getattr(ctx, "compiler", None)
-            if engine is not None and engine.state == 0 \
-                    and ctx.gate_depth == 0:
-                # Top-level call with an idle datapath compiler: let the
-                # engine decide to record, execute a plan, or interpret.
-                # Nested routed calls (gate_depth > 0) and calls made
-                # while the engine is mid-session stay interpreted and
-                # become interior ops of the enclosing trace.
-                return engine.dispatch(self, ctx, dst, library, func,
-                                       args, kwargs)
-            return self._dispatch(ctx, dst, library, func, args, kwargs)
+            if dst.index == ctx.compartment:
+                # Same compartment: a classical function call
+                # (Fig. 3 step 3b).
+                self.direct_calls += 1
+                ctx.clock.charge(self.costs.function_call)
+                previous_lib = ctx.current_library
+                ctx.current_library = library
+                try:
+                    return func(*args, **kwargs)
+                finally:
+                    ctx.current_library = previous_lib
+            name = getattr(func, "__name__", str(func))
+            declared_entry = (
+                getattr(func, "__flexos_entry__", False)
+                and getattr(func, "__flexos_library__", None) == library
+            )
+            if not declared_entry and not self.image.is_legal_entry(
+                    dst.index, name):
+                raise EntryPointViolation(name, dst.name)
+            self.gated_calls += 1
+            gate = self.gate_between(ctx.compartment, dst.index)
+            return gate.call(ctx, library, func, args, kwargs)
         finally:
             if token is not None:
                 tracer.entry_end(token, ctx)
-
-    def _dispatch(self, ctx, dst, library, func, args, kwargs):
-        """The interpreted path: direct or gated, no specialization."""
-        if dst.index == ctx.compartment:
-            # Same compartment: a classical function call
-            # (Fig. 3 step 3b).
-            self.direct_calls += 1
-            ctx.clock.charge(self.costs.function_call)
-            previous_lib = ctx.current_library
-            ctx.current_library = library
-            try:
-                return func(*args, **kwargs)
-            finally:
-                ctx.current_library = previous_lib
-        name = getattr(func, "__name__", str(func))
-        declared_entry = (
-            getattr(func, "__flexos_entry__", False)
-            and getattr(func, "__flexos_library__", None) == library
-        )
-        if not declared_entry and not self.image.is_legal_entry(
-                dst.index, name):
-            raise EntryPointViolation(name, dst.name)
-        self.gated_calls += 1
-        gate = self.gate_between(ctx.compartment, dst.index)
-        return gate.call(ctx, library, func, args, kwargs)

@@ -1,7 +1,7 @@
 """Named, picklable performance evaluators for the exploration engine.
 
-The legacy ``explore(layouts, measure, ...)`` API took an arbitrary
-closure, which structurally forbids two things the engine needs:
+A bare ``measure`` closure structurally forbids two things the engine
+needs:
 
 * **multiprocessing** — a closure defined inside a benchmark driver
   cannot be pickled into a ``spawn``-context worker;
@@ -219,12 +219,12 @@ class SyntheticEvaluator(Evaluator):
 
 
 class CallableEvaluator(Evaluator):
-    """Adapter for legacy ``measure`` callables.
+    """Adapter for ``measure`` callables.
 
-    Exists so the deprecation shim (and callers that genuinely need a
-    closure, e.g. noise-injecting tests) can ride the new engine — but
-    only serially: a closure has no stable identity, so it cannot be
-    cached, and it generally cannot be pickled into a worker pool.
+    Exists so callers that genuinely need a closure (e.g. noise-injecting
+    tests) can ride the engine — but only serially: a closure has no
+    stable identity, so it cannot be cached, and it generally cannot be
+    pickled into a worker pool.
     """
 
     name = "callable"

@@ -13,26 +13,23 @@ Entry points:
 
 * :class:`ExplorationRequest` + :func:`explore` — the evaluation API.
   A request names a picklable :class:`~repro.explore.evaluators.Evaluator`
-  (or wraps a legacy callable), and may ask for a worker pool
+  (or wraps a callable), and may ask for a worker pool
   (``jobs``) and a content-addressed cache (``cache``); the wavefront
   engine in :mod:`repro.explore.parallel` does the walking.
 * :func:`explore_serial` — the strictly serial reference walker.  The
   engine is required to be *result-identical* to it (same recommended,
   measurements and pruned sets); tests and the certificate checker use
   it as the oracle.
-* The legacy positional ``explore(layouts, measure, budget)`` signature
-  still works through a deprecation shim that wraps the callable.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.errors import ExplorationError
 from repro.explore.cache import resolve_cache
-from repro.explore.evaluators import CallableEvaluator, resolve_evaluator
+from repro.explore.evaluators import resolve_evaluator
 from repro.explore.measurement import OBJECTIVES, as_measurement
 from repro.explore.poset import ConfigPoset
 
@@ -45,7 +42,7 @@ class ExplorationRequest:
         layouts: the configurations to explore
             (:class:`~repro.apps.base.ComponentLayout` objects).
         evaluator: an :class:`~repro.explore.evaluators.Evaluator`
-            instance, a registry name (e.g. ``"profile"``), or a legacy
+            instance, a registry name (e.g. ``"profile"``), or a
             callable (wrapped; serial-only, uncacheable).
         budget: minimum acceptable performance (in the objective's
             unit — requests/s for ``throughput``, negated virtual
@@ -221,41 +218,13 @@ def explore_serial(request):
     return _finalize(result)
 
 
-def explore(request, measure=None, budget=None, assume_monotonic=True):
+def explore(request):
     """Find the safest configurations with performance >= the budget.
 
-    The supported call is ``explore(ExplorationRequest(...))``; the
-    request selects the evaluator, worker count and cache, and the
-    wavefront engine returns an :class:`ExplorationResult`.
-
-    The legacy positional form ``explore(layouts, measure, budget,
-    assume_monotonic)`` is deprecated: it wraps ``measure`` in a
-    :class:`~repro.explore.evaluators.CallableEvaluator` (serial-only,
-    uncacheable) and warns.
+    ``request`` is an :class:`ExplorationRequest`; it selects the
+    evaluator, worker count and cache, and the wavefront engine returns
+    an :class:`ExplorationResult`.
     """
     from repro.explore.parallel import run_exploration
 
-    if isinstance(request, ExplorationRequest):
-        if measure is not None or budget is not None:
-            raise ExplorationError(
-                "explore(request) takes no extra arguments; put the "
-                "budget and evaluator in the ExplorationRequest"
-            )
-        return run_exploration(request)
-
-    warnings.warn(
-        "explore(layouts, measure, budget) is deprecated; build an "
-        "ExplorationRequest with a registered Evaluator instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if measure is None or budget is None:
-        raise ExplorationError(
-            "legacy explore() needs both a measure callable and a budget"
-        )
-    return run_exploration(ExplorationRequest(
-        layouts=request,
-        evaluator=CallableEvaluator(measure),
-        budget=budget,
-        assume_monotonic=assume_monotonic,
-    ))
+    return run_exploration(request)

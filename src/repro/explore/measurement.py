@@ -17,9 +17,8 @@ decomposition predictions, model inputs).  ``float(measurement)``
 recovers the bare number, so arithmetic call sites migrate with one
 ``.value`` (or ``float()``).
 
-Legacy evaluators that still return a bare number are shimmed through
-:func:`as_measurement` with a :class:`DeprecationWarning`, mirroring
-the PR 4 ``explore(layouts, measure, budget)`` migration.
+An evaluator that returns anything else — a bare number included —
+fails the exploration through :func:`as_measurement`.
 """
 
 from __future__ import annotations
@@ -88,30 +87,16 @@ class Measurement:
         )
 
 
-def as_measurement(value, evaluator=None, objective=None):
-    """Coerce an evaluator return into a :class:`Measurement`.
+def as_measurement(value, evaluator=None):
+    """Check that an evaluator returned a :class:`Measurement`.
 
-    Measurements pass through untouched.  Bare numbers are wrapped —
-    with a :class:`DeprecationWarning`, because an evaluator that
-    returns a float cannot state its objective — under ``objective``
-    (default: the evaluator's own, else ``throughput``).  Anything
-    else is an error.
+    Measurements pass through untouched; anything else, a bare number
+    included, raises :class:`~repro.errors.ExplorationError`, because a
+    bare value cannot state the objective it was measured under.
     """
     if isinstance(value, Measurement):
         return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ExplorationError(
-            "evaluator %s returned %r; return a Measurement"
-            % (evaluator if evaluator is not None else "<unknown>", value)
-        )
-    import warnings
-
-    warnings.warn(
-        "evaluators returning bare numbers are deprecated; return a "
-        "Measurement(value, objective) instead",
-        DeprecationWarning,
-        stacklevel=3,
+    raise ExplorationError(
+        "evaluator %s returned %r; return a Measurement"
+        % (evaluator if evaluator is not None else "<unknown>", value)
     )
-    if objective is None:
-        objective = getattr(evaluator, "objective", None) or "throughput"
-    return Measurement(float(value), objective)

@@ -83,9 +83,8 @@ def _pool_evaluate(task):
 
 def _evaluate_wave(names, poset, evaluator, pool):
     """Measure ``names``; returns ({name: Measurement}, first failure
-    or None).  Coercion to :class:`Measurement` happens parent-side
-    even for pool results, so the bare-float deprecation shim warns in
-    the caller's process."""
+    or None).  Results are checked parent-side, pool results included,
+    so a non-:class:`Measurement` return fails in the caller's process."""
     values = {}
     failure = None
     if pool is None:

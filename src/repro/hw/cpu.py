@@ -101,12 +101,6 @@ class ExecutionContext:
         #: Callable(library_name) -> float multiplier applied to modelled
         #: work, used to charge software-hardening instrumentation.
         self.work_multiplier = None
-        #: Datapath compiler engine installed by
-        #: :func:`repro.compile.attach`; None means every request takes
-        #: the interpreted path (the default — attaching is opt-in per
-        #: workload because plan elision changes virtual gate/check
-        #: counts, which baselined workloads must not do silently).
-        self.compiler = None
         #: Cycles of modelled work charged per library (before gates).
         self.work_by_library = {}
 

@@ -82,13 +82,8 @@ class SharedWindow:
         start, limit, _ = self._slices[space_name]
         return start, limit
 
-    def allocate(self, space_name, size, quiet=False):
-        """Bump-allocate ``size`` bytes from a VM's slice; returns offset.
-
-        ``quiet`` skips the trace event (the cursor still advances):
-        used for crossings whose per-crossing bookkeeping a datapath-
-        compiler plan coalesced.
-        """
+    def allocate(self, space_name, size):
+        """Bump-allocate ``size`` bytes from a VM's slice; returns offset."""
         entry = self._slices[space_name]
         start, limit, cursor = entry
         wrapped = cursor + size > limit
@@ -96,8 +91,7 @@ class SharedWindow:
             # Wrap around: the RPC protocol recycles its message area.
             cursor = start
         entry[2] = cursor + size
-        if not quiet:
-            tracer = obs.ACTIVE
-            if tracer.enabled:
-                tracer.window_alloc(space_name, size, cursor, wrapped)
+        tracer = obs.ACTIVE
+        if tracer.enabled:
+            tracer.window_alloc(space_name, size, cursor, wrapped)
         return cursor

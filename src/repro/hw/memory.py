@@ -240,7 +240,6 @@ class ByteBuffer:
         length = self.size - start if length is None else length
         self._bounds(start, length)
         ctx.mmu.check(ctx, self.region, AccessType.READ, symbol=self.symbol)
-        self._tee_copy(ctx, "r", length)
         if length == 0:
             # Still protection-checked above, but free: no cycles, and no
             # materializing the region's backing store for an empty slice.
@@ -253,7 +252,6 @@ class ByteBuffer:
     def write_bytes(self, ctx, payload, start=0):
         self._bounds(start, len(payload))
         ctx.mmu.check(ctx, self.region, AccessType.WRITE, symbol=self.symbol)
-        self._tee_copy(ctx, "w", len(payload))
         if not payload:
             return
         ctx.clock.charge(ctx.costs.memcpy_per_byte * len(payload))
@@ -276,7 +274,6 @@ class ByteBuffer:
             self._bounds(start, length)
         ctx.mmu.check(ctx, self.region, AccessType.READ, symbol=self.symbol)
         total = sum(length for _, length in spans)
-        self._tee_copy(ctx, "rv", total)
         if total == 0:
             return [b"" for _ in spans]
         ctx.clock.charge(ctx.costs.memcpy_per_byte * total)
@@ -297,7 +294,6 @@ class ByteBuffer:
             self._bounds(start, len(payload))
         ctx.mmu.check(ctx, self.region, AccessType.WRITE, symbol=self.symbol)
         total = sum(len(payload) for _, payload in spans)
-        self._tee_copy(ctx, "wv", total)
         if total == 0:
             return 0
         ctx.clock.charge(ctx.costs.memcpy_per_byte * total)
@@ -306,18 +302,6 @@ class ByteBuffer:
         for start, payload in spans:
             data[base + start:base + start + len(payload)] = payload
         return total
-
-    def _tee_copy(self, ctx, kind, nbytes):
-        """Tee one buffer op through the datapath compiler when active.
-
-        Copies are never elided (real data movement always charges); the
-        engine records/matches them so the fusion pass can recognise
-        scalar runs that a ``read_vec``/``write_vec`` call site would
-        express in one op.
-        """
-        engine = getattr(ctx, "compiler", None)
-        if engine is not None and engine.state:
-            engine.on_copy(ctx, self.region, kind, nbytes)
 
     def _bounds(self, start, length):
         if start < 0 or length < 0 or start + length > self.size:

@@ -82,29 +82,8 @@ class MMU:
     def check(self, ctx, region, access, symbol=None, owner_library=None):
         """Validate one access; raises :class:`ProtectionFault` on denial.
 
-        When a datapath-compiler engine is recording or executing on this
-        context, the check is teed through it: an executing plan may
-        elide the re-verification entirely (the plan's per-node tag
-        compare subsumes it — see
-        :meth:`repro.compile.engine.DatapathCompiler.on_check_execute`),
-        and a recording session captures every *allowed* check after the
-        verdict, so fault paths are never specialized.
+        The full two-tier check: TLB fast path, then slow re-derivation.
         """
-        engine = getattr(ctx, "compiler", None)
-        if engine is not None and engine.state:
-            if engine.state == 2 and engine.on_check_execute(
-                    self, ctx, region, access):
-                return
-            self._check_interpreted(ctx, region, access, symbol,
-                                    owner_library)
-            if engine.state == 1:
-                engine.on_check_record(ctx, region, access)
-            return
-        self._check_interpreted(ctx, region, access, symbol, owner_library)
-
-    def _check_interpreted(self, ctx, region, access, symbol=None,
-                           owner_library=None):
-        """The full two-tier check (TLB fast path + slow re-derivation)."""
         self.checks += 1
         if not self._enforcing:
             return

@@ -90,18 +90,6 @@ class PKRU:
         if tracer.enabled:
             tracer.pkru_write("restore", None)
 
-    def restore_quiet(self, snap):
-        """Restore a snapshot without emitting a ``pkru`` trace event.
-
-        The counterpart of :meth:`apply_transition` for the return leg:
-        a coalesced gate crossing performs the register write (machine
-        state must stay bit-identical) but books no per-crossing
-        events — the datapath compiler applied this edge's accounting
-        once for the whole run of crossings.
-        """
-        self._access_disable, self._write_disable = snap
-        self.word = self._pack()
-
     def apply_transition(self, deny_mask, allow_mask):
         """Apply a precomputed gate transition as one register write.
 

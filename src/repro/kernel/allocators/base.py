@@ -93,8 +93,6 @@ class Allocator:
         self._fail_countdown = 0
         #: Injected failures served so far (campaign accounting).
         self.injected_failures = 0
-        #: Context of the last :meth:`_engine` lookup (hook plumbing).
-        self._engine_ctx = None
 
     # -- interface subclasses implement ------------------------------------
     def _alloc_block(self, size):
@@ -133,24 +131,15 @@ class Allocator:
 
     # -- public API ---------------------------------------------------------
     def malloc(self, size):
-        """Allocate ``size`` bytes; returns an :class:`Allocation`.
-
-        The allocation itself (block search, stats, failure injection)
-        always happens; only the per-op charge and trace event can be
-        elided when an executing datapath-compiler plan batched this op
-        into its segment's single sized arena request.
-        """
+        """Allocate ``size`` bytes; returns an :class:`Allocation`."""
         size = round_up(size)
         self._maybe_inject_failure(size)
         offset, fast = self._alloc_block(size)
         self.stats.on_alloc(size, fast)
-        engine = self._engine()
-        if engine is None or not engine.on_alloc(
-                self._engine_ctx, self.region.name, size, fast):
-            self._charge_alloc(fast)
-            tracer = obs.ACTIVE
-            if tracer.enabled:
-                tracer.alloc_op("alloc", self.region.name, size, fast=fast)
+        self._charge_alloc(fast)
+        tracer = obs.ACTIVE
+        if tracer.enabled:
+            tracer.alloc_op("alloc", self.region.name, size, fast=fast)
         allocation = Allocation(offset, size, self)
         self._live[offset] = allocation
         return allocation
@@ -164,30 +153,10 @@ class Allocator:
             )
         self._free_block(allocation.offset, allocation.size)
         self.stats.on_free(allocation.size)
-        engine = self._engine()
-        if engine is None or not engine.on_free(
-                self._engine_ctx, self.region.name):
-            self._charge_free()
-            tracer = obs.ACTIVE
-            if tracer.enabled:
-                tracer.alloc_op("free", self.region.name, allocation.size)
-
-    def _engine(self):
-        """The active datapath-compiler engine, or None (the usual case).
-
-        Also caches the context it was found on (``_engine_ctx``) so the
-        hook call right after the lookup does not re-derive it.
-        """
-        from repro.hw.cpu import maybe_current_context
-
-        ctx = maybe_current_context()
-        self._engine_ctx = ctx
-        if ctx is None:
-            return None
-        engine = ctx.compiler
-        if engine is not None and engine.state:
-            return engine
-        return None
+        self._charge_free()
+        tracer = obs.ACTIVE
+        if tracer.enabled:
+            tracer.alloc_op("free", self.region.name, allocation.size)
 
     def calloc(self, size):
         """malloc + zeroing charge."""

@@ -30,6 +30,7 @@ from repro.kernel.net.headers import (
     UdpHeader,
 )
 from repro.kernel.net.tcp import TcpConnection, TcpState
+from repro.obs import tracer as obs
 
 
 class NetworkStack:
@@ -153,6 +154,9 @@ class NetworkStack:
                 # A malformed frame is dropped and counted, as lwIP
                 # does; it must not abandon the rest of the queue.
                 self.drops[err.reason] = self.drops.get(err.reason, 0) + 1
+                tracer = obs.ACTIVE
+                if tracer.enabled:
+                    tracer.net_drop(err.reason)
             processed += 1
         return processed
 

@@ -134,6 +134,8 @@ class MetricsRegistry:
         self.context_switches = 0
         #: "tx"/"rx" -> segments.
         self.tcp_segments = {"tx": 0, "rx": 0}
+        #: Received frames the stack dropped as malformed: reason -> count.
+        self.net_drops = {}
         #: EPT backend: cross-VM address-space switches.
         self.space_switches = 0
         #: EPT backend: shared-window descriptor allocations.
@@ -160,8 +162,6 @@ class MetricsRegistry:
         #: SMP scheduler: core index -> dispatches on that core.
         self.core_dispatches = {}
         self.runqueue_depth = Histogram(RUNQUEUE_DEPTH_BUCKETS)
-        #: Datapath compiler: action -> occurrences.
-        self.compile = {}
 
     # -- recording hooks (called by the Tracer) --------------------------------
     def record_gate(self, src, dst, src_comp, dst_comp, kind, library,
@@ -221,6 +221,11 @@ class MetricsRegistry:
         if self.timeseries is not None:
             self.timeseries.bump("net.%s" % direction)
 
+    def record_net_drop(self, reason):
+        self.net_drops[reason] = self.net_drops.get(reason, 0) + 1
+        if self.timeseries is not None:
+            self.timeseries.bump("net.drop.%s" % reason)
+
     def record_space_switch(self):
         self.space_switches += 1
         if self.timeseries is not None:
@@ -257,11 +262,6 @@ class MetricsRegistry:
         if self.timeseries is not None:
             self.timeseries.bump("tlb.%s" % op)
 
-    def record_compile(self, op, n=1):
-        self.compile[op] = self.compile.get(op, 0) + n
-        if self.timeseries is not None:
-            self.timeseries.bump("compile.%s" % op, n)
-
     def record_reconfig(self, action):
         self.reconfig[action] = self.reconfig.get(action, 0) + 1
         if self.timeseries is not None:
@@ -292,10 +292,10 @@ class MetricsRegistry:
     def snapshot(self):
         """A JSON-serialisable snapshot of every aggregate.
 
-        The ``explore``, ``tlb``, ``reconfig`` and ``sched`` sections
-        appear only when those subsystems ran under this registry, so
-        snapshots of runs that never touch them (the functional
-        perf-gate baselines predate all four) keep their exact shape.
+        The ``explore``, ``tlb``, ``reconfig``, ``sched`` and
+        ``net_drops`` sections appear only when those subsystems ran (or,
+        for ``net_drops``, a frame was dropped) under this registry, so
+        snapshots of runs that never touch them keep their exact shape.
         The ``sched`` section and the ``runqueue_depth`` histogram are
         emitted only by the SMP scheduler; serial runs never record a
         core dispatch.
@@ -321,8 +321,8 @@ class MetricsRegistry:
                 "core-%d" % core: {"dispatches": count}
                 for core, count in sorted(self.core_dispatches.items())
             }
-        if self.compile:
-            explore["compile"] = dict(sorted(self.compile.items()))
+        if self.net_drops:
+            explore["net_drops"] = dict(sorted(self.net_drops.items()))
         histograms = {
             "gate_latency_cycles": {
                 "%s->%s" % pair: histogram.to_dict()

@@ -38,14 +38,13 @@ CATEGORIES = (
     "supervisor",   # one supervision decision
     "alloc",        # one allocator operation
     "sched",        # one scheduler context switch
-    "net",          # one TCP segment sent or received
+    "net",          # one TCP segment sent or received, or a frame dropped
     "ept",          # one address-space switch or shared-window RPC alloc
     "irq",          # one interrupt delivery
     "fs",           # one VFS/ramfs operation
     "explore",      # one exploration-engine wave scheduled
     "tlb",          # one permission-TLB hit, miss, or flush
     "reconfig",     # one live-reconfiguration phase or step
-    "compile",      # one datapath-compiler action (record/hit/deopt/...)
 )
 
 
@@ -126,6 +125,9 @@ class NullTracer:
     def tcp_segment(self, direction, flags, nbytes, port=None):
         pass
 
+    def net_drop(self, reason):
+        pass
+
     def space_switch(self, previous, current, direction):
         pass
 
@@ -142,9 +144,6 @@ class NullTracer:
         pass
 
     def tlb_op(self, op):
-        pass
-
-    def compile_op(self, op, n=1):
         pass
 
     def core_dispatch(self, core, depth, thread=None):
@@ -349,6 +348,13 @@ class Tracer:
         ))
         self.metrics.record_tcp_segment(direction)
 
+    def net_drop(self, reason):
+        """The stack dropped one malformed received frame (``reason``)."""
+        self._record(TraceEvent(
+            "net-drop", "net", self._now(), args={"reason": reason},
+        ))
+        self.metrics.record_net_drop(reason)
+
     def space_switch(self, previous, current, direction):
         """The execution context moved to another VM's address space."""
         self._record(TraceEvent(
@@ -402,16 +408,6 @@ class Tracer:
         section (which appears only when the TLB actually ran).
         """
         self.metrics.record_tlb(op)
-
-    def compile_op(self, op, n=1):
-        """One datapath-compiler action (record, plan hit, deopt, ...).
-
-        Counter-only, like :meth:`tlb_op`: the engine fires these on
-        every specialized dispatch, so aggregates land in the metrics
-        snapshot's ``compile`` section (present only when the compiler
-        actually ran) instead of the event stream.
-        """
-        self.metrics.record_compile(op, n)
 
     def core_dispatch(self, core, depth, thread=None):
         """One SMP dispatch on ``core`` with ``depth`` threads left queued.

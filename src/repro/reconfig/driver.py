@@ -131,7 +131,7 @@ class ReconfigRun:
 
 
 def run_reconfig_redis(source, targets, n_requests=40, migrate_after=10,
-                       inject_at=None, tracer=None, compile_engine=False):
+                       inject_at=None, tracer=None):
     """Serve redis traffic and migrate the live layout mid-run.
 
     ``targets`` is a sequence of SafetyConfigs applied one after the
@@ -139,9 +139,6 @@ def run_reconfig_redis(source, targets, n_requests=40, migrate_after=10,
     thread body — i.e. at a scheduler-quiescent point, with requests
     still queued on the device.  ``inject_at`` arms a migration-window
     fault at that checkpoint index of the *first* migration.
-    ``compile_engine`` attaches the trace-driven datapath compiler
-    after boot (:func:`repro.compile.attach`), so the run exercises
-    plan invalidation across the migration's epoch bump.
     """
     from contextlib import nullcontext
 
@@ -154,10 +151,6 @@ def run_reconfig_redis(source, targets, n_requests=40, migrate_after=10,
     instance = FlexOSInstance(
         build_image(source), machine=machine, net_device=link.a,
     ).boot()
-    if compile_engine:
-        from repro import compile as datapath_compile
-
-        datapath_compile.attach(instance)
     host = HostEndpoint(link.b, "10.0.0.1", costs, machine.clock)
     engine = ReconfigurationEngine(instance)
     if inject_at is not None:

@@ -5,8 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.base import ComponentLayout
-from repro.apps.redis import REDIS_GET_PROFILE
-from repro.apps.base import evaluate_profile
 from repro.core.hardening import FIG6_HARDENING, Hardening
 from repro.errors import ExplorationError
 from repro.explore import (
@@ -23,7 +21,6 @@ from repro.explore import (
 )
 from repro.explore.configspace import FIG6_STRATEGIES, strategy_of
 from repro.explore.safety import comparable, partition_refines
-from repro.hw.costs import DEFAULT_COSTS
 
 
 def layout(name, partition, hardening=None, **kw):
@@ -237,18 +234,13 @@ class TestExplorer:
         assert summary["configurations"] == 80
         assert summary["evaluated"] + summary["pruned"] == 80
 
-    def test_legacy_callable_signature_warns_but_works(self):
-        """The pre-request positional API still answers, deprecated."""
+    def test_legacy_positional_signature_rejected(self):
+        """explore() takes one ExplorationRequest and nothing else."""
         layouts = generate_fig6_space()
-
-        def measure(l):
-            return evaluate_profile(
-                REDIS_GET_PROFILE, l, DEFAULT_COSTS, "redis",
-            )["requests_per_second"]
-
-        with pytest.deprecated_call():
-            legacy = explore(layouts, measure, budget=500_000)
-        assert legacy.recommended == self.run(budget=500_000).recommended
+        with pytest.raises(TypeError):
+            explore(layouts, lambda layout: 1.0, budget=500_000)
+        with pytest.raises(ExplorationError, match="ExplorationRequest"):
+            explore(layouts)
 
 
 class TestMeasurement:
@@ -275,11 +267,10 @@ class TestMeasurement:
         with pytest.raises(TypeError):
             Measurement(1.0) >= 0  # noqa: B015
 
-    def test_bare_float_shim_warns(self):
-        with pytest.deprecated_call():
-            shimmed = as_measurement(1234.0)
-        assert shimmed == Measurement(1234.0)
-        # A Measurement passes through silently and unchanged.
+    def test_bare_float_rejected(self):
+        with pytest.raises(ExplorationError, match="return a Measurement"):
+            as_measurement(1234.0)
+        # A Measurement passes through unchanged.
         direct = Measurement(1.0, "slo_headroom")
         assert as_measurement(direct) is direct
 
@@ -289,11 +280,10 @@ class TestMeasurement:
         with pytest.raises(ExplorationError):
             as_measurement(True)
 
-    def test_shim_inherits_evaluator_objective(self):
+    def test_rejection_names_the_evaluator(self):
         evaluator = SyntheticEvaluator().for_objective("slo_headroom")
-        with pytest.deprecated_call():
-            shimmed = as_measurement(2.0, evaluator)
-        assert shimmed.objective == "slo_headroom"
+        with pytest.raises(ExplorationError, match="SyntheticEvaluator"):
+            as_measurement(2.0, evaluator)
 
 
 class TestObjectiveApi:
@@ -336,12 +326,10 @@ class TestObjectiveApi:
         ))
         assert result.objective == "tail_at_rate"
 
-    def test_bare_float_evaluator_shims_through_explore(self):
-        with pytest.deprecated_call():
-            result = explore(ExplorationRequest(
+    def test_bare_float_evaluator_fails_explore(self):
+        with pytest.raises(ExplorationError, match="return a Measurement"):
+            explore(ExplorationRequest(
                 layouts=generate_fig6_space(),
                 evaluator=lambda layout: 1.0,
                 budget=0,
             ))
-        assert all(isinstance(v, Measurement)
-                   for v in result.measurements.values())

@@ -190,27 +190,6 @@ class TestExceptionSafety:
             assert instance.router.gated_calls == calls + 1
             assert _snapshot(ctx) == before
 
-    def test_coalesced_gate_path(self):
-        instance = _boot("intel-mpk", mpk_gate="light")
-
-        class Engine:
-            left = 0
-
-            def on_gate_leave(self, gate, ctx):
-                self.left += 1
-
-        engine = Engine()
-        with instance.run():
-            ctx = instance.ctx
-            dst = instance.image.compartment_of("lwip")
-            gate = instance.router.gate_between(ctx.compartment, dst.index)
-            before = _snapshot(ctx)
-            with pytest.raises(Boom):
-                gate._call_coalesced(ctx, "lwip", _raising_lwip_entry,
-                                     (), {}, engine)
-            assert engine.left == 1
-            assert _snapshot(ctx) == before
-
     def test_no_router_wrapper_path(self):
         instance = _boot("intel-mpk")
         ctx = instance.ctx

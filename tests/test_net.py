@@ -19,6 +19,7 @@ from repro.kernel.net.headers import (
     mac_bytes,
 )
 from repro.kernel.net.tcp import MSS, TcpState
+from repro.obs import Tracer, tracing
 
 
 @pytest.fixture
@@ -240,6 +241,42 @@ class TestHostileFrames:
         assert not server.device.has_rx
         assert server.drops == {kind: 2 for kind in bad}
         assert server.frames_in == len(frames)
+
+
+class TestDropMetrics:
+    """Dropped frames reach the metrics snapshot as ``net_drops``."""
+
+    def test_snapshot_counts_equal_stack_drops(self, pair):
+        server, client = pair
+        tracer = Tracer(clock=server.clock)
+        bad = hostile_frames(server, client.ip)
+        with tracing(tracer):
+            listener = server.tcp_listen(80)
+            conn = client.tcp_connect("10.0.0.2", 80)
+            settle(server, client)
+            accepted = server.tcp_accept(listener)
+            for kind in ("runt", "checksum", "proto"):
+                server.device.rx_queue.append(bad[kind])
+                client.tcp_send(conn, b"GET /" + kind.encode())
+                settle(server, client)
+                assert server.tcp_recv(accepted, 4096) == \
+                    b"GET /" + kind.encode()
+        expected = {"checksum": 1, "proto": 1, "runt": 1}
+        assert server.drops == expected
+        counters = tracer.metrics.snapshot()["counters"]
+        assert counters["net_drops"] == server.drops
+        assert len(tracer.events_in("net")) == \
+            sum(counters["tcp_segments"].values()) + 3
+
+    def test_section_absent_without_drops(self, pair):
+        server, client = pair
+        tracer = Tracer(clock=server.clock)
+        with tracing(tracer):
+            server.tcp_listen(80)
+            client.tcp_connect("10.0.0.2", 80)
+            settle(server, client)
+        assert server.drops == {}
+        assert "net_drops" not in tracer.metrics.snapshot()["counters"]
 
 
 class TestLossRecovery:

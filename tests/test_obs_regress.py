@@ -288,7 +288,8 @@ class TestCliGate:
         """End-to-end acceptance: the reported critical path's per-pair
         cycles sum to within 1% of the total gate cycles."""
         code, output = self.run_cli([
-            "obs", "report", "redis", "--requests", "15", "--json",
+            "obs", "report", "redis", "--requests", "15",
+            "--format", "json",
         ])
         assert code == 0
         payload = json.loads(output)

@@ -25,7 +25,7 @@ from repro.core.vm import FlexOSInstance, Machine
 from repro.errors import ReproError
 from repro.faults.injector import FaultInjector, FaultSpec
 from repro.kernel.sched import yield_
-from repro.obs import RequestSpan, SpanTracker, TelemetryHub, tracing
+from repro.obs import RequestSpan, SpanTracker, TelemetryHub, Tracer, tracing
 from tests.conftest import make_config
 
 N_REQUESTS = 24
@@ -342,3 +342,37 @@ class TestFaultCampaignDecomposition:
     def test_invariant_holds_for_any_fault_period(self, period):
         hub, _ = self._run_campaign(period=period, n=12)
         assert hub.spans.check_all() == 12
+
+
+class CountingTracer(Tracer):
+    """Counts entry_begin/entry_end balance around the span plumbing."""
+
+    def __init__(self, clock):
+        super().__init__(clock=clock)
+        self.begins = {}
+        self.open = 0
+
+    def entry_begin(self, library, ctx):
+        self.begins[library] = self.begins.get(library, 0) + 1
+        self.open += 1
+        return ("count", super().entry_begin(library, ctx))
+
+    def entry_end(self, token, ctx):
+        self.open -= 1
+        _, inner = token
+        if inner is not None:
+            super().entry_end(inner, ctx)
+
+
+class TestEntryHooksExactlyOnce:
+    """Router.route entry hooks under the SMP scheduler."""
+
+    def test_smp_load_entry_hooks_once_per_request(self):
+        n_requests = 24
+        tracer = CountingTracer(clock=None)
+        result = run_load("redis", "intel-mpk", rate_rps=None,
+                          n_requests=n_requests, cores=2, connections=2,
+                          tracer=tracer)
+        assert result.completed == n_requests
+        assert tracer.open == 0, "unbalanced entry_begin/entry_end"
+        assert tracer.begins["redis"] == n_requests
