@@ -69,32 +69,55 @@ def partition_refines(fine, coarse):
     return True
 
 
+def structure_key(layout):
+    """Everything :func:`structure_leq` reads from ``layout``.
+
+    Layouts with equal keys compare identically on the structural
+    factor, so the poset evaluates it once per pair of distinct keys.
+    """
+    return (
+        layout.partition[0],
+        frozenset(layout.partition[1:]),
+        MECHANISM_RANK[_mech(layout)],
+        SHARING_RANK[layout.sharing],
+        _gate_rank(layout),
+    )
+
+
+def structure_leq(weaker, stronger):
+    """The structural factor: partition refinement and the three ranks."""
+    return (
+        partition_refines(stronger, weaker)
+        and MECHANISM_RANK[_mech(weaker)] <= MECHANISM_RANK[_mech(stronger)]
+        and SHARING_RANK[weaker.sharing] <= SHARING_RANK[stronger.sharing]
+        and _gate_rank(weaker) <= _gate_rank(stronger)
+    )
+
+
+def hardening_key(layout):
+    """Everything :func:`hardening_leq` reads: the non-empty entries."""
+    return frozenset(
+        (component, hardening)
+        for component, hardening in layout.hardening.items() if hardening
+    )
+
+
 def hardening_leq(weaker, stronger):
-    """Pointwise set inclusion over all components either mentions."""
-    components = set(weaker.hardening) | set(stronger.hardening)
+    """The hardening factor: pointwise set inclusion per component."""
     return all(
-        weaker.hardening_of(c) <= stronger.hardening_of(c)
-        for c in components
+        hardening <= stronger.hardening_of(component)
+        for component, hardening in weaker.hardening.items()
     )
 
 
 def safety_leq(weaker, stronger):
     """True when ``stronger`` is probabilistically at least as safe.
 
-    Reflexive; antisymmetry holds up to configurations that are
-    indistinguishable on all four axes.
+    Reflexive and transitive: the conjunction of :func:`structure_leq`
+    and :func:`hardening_leq`.  Antisymmetry holds up to configurations
+    that are indistinguishable on all four axes.
     """
-    if not partition_refines(stronger, weaker):
-        return False
-    if not hardening_leq(weaker, stronger):
-        return False
-    if MECHANISM_RANK[_mech(weaker)] > MECHANISM_RANK[_mech(stronger)]:
-        return False
-    if SHARING_RANK[weaker.sharing] > SHARING_RANK[stronger.sharing]:
-        return False
-    if _gate_rank(weaker) > _gate_rank(stronger):
-        return False
-    return True
+    return structure_leq(weaker, stronger) and hardening_leq(weaker, stronger)
 
 
 def _mech(layout):
