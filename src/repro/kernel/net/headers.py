@@ -72,14 +72,40 @@ def ip_str(raw):
     return ".".join(str(b) for b in raw)
 
 
+def fold_checksum(total):
+    """Fold the carries of a 16-bit word sum and complement it (RFC 1071).
+
+    The ones-complement sum is associative, so a header's checksum can be
+    built from partial sums of its words in any grouping.
+    """
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return (~total) & 0xFFFF
+
+
 def checksum16(data):
     """RFC 1071 ones-complement sum over 16-bit words."""
     if len(data) % 2:
         data = bytes(data) + b"\x00"
-    total = sum(struct.unpack("!%dH" % (len(data) // 2), data))
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return (~total) & 0xFFFF
+    return fold_checksum(sum(struct.unpack("!%dH" % (len(data) // 2), data)))
+
+
+# Wire layouts.  Each header's field order is written down once; the
+# stack's one-call layouts for the Ethernet + IPv4 header concatenate them.
+_ETH_FIELDS = "6s6sH"            # dst, src, ethertype
+_IPV4_FIELDS = "BBHHHBBH4s4s"    # ver/ihl, tos, total_len, ident, frag,
+#                                  ttl, proto, checksum, src, dst
+_TCP_FIELDS = "HHIIBBHHH"        # ports, seq, ack, data offset, flags,
+#                                  window, checksum, urgent pointer
+ETH_LAYOUT = struct.Struct("!" + _ETH_FIELDS)
+IPV4_LAYOUT = struct.Struct("!" + _IPV4_FIELDS)
+TCP_LAYOUT = struct.Struct("!" + _TCP_FIELDS)
+#: Ethernet + IPv4 header (34 bytes), packed in one call.
+ETH_IPV4_LAYOUT = struct.Struct("!" + _ETH_FIELDS + _IPV4_FIELDS)
+#: The 34-byte Ethernet + IPv4 header read as Ethernet plus the ten IPv4
+#: header words, so the receive path sums the words it has unpacked.
+ETH_IPV4_WORDS = struct.Struct("!" + _ETH_FIELDS + "10H")
+ETH_IPV4_LEN = ETH_IPV4_LAYOUT.size
 
 
 class EthernetHeader:
@@ -91,19 +117,17 @@ class EthernetHeader:
         self.ethertype = ethertype
 
     def pack(self):
-        return mac_bytes(self.dst) + mac_bytes(self.src) + struct.pack(
-            "!H", self.ethertype
-        )
+        return ETH_LAYOUT.pack(mac_bytes(self.dst), mac_bytes(self.src),
+                               self.ethertype)
 
     @classmethod
     def unpack(cls, frame):
         if len(frame) < ETH_HEADER_LEN:
             raise NetworkError("runt ethernet frame (%d bytes)" % len(frame),
                                reason="runt")
-        dst = mac_str(frame[0:6])
-        src = mac_str(frame[6:12])
-        (ethertype,) = struct.unpack("!H", frame[12:14])
-        return cls(dst, src, ethertype), frame[ETH_HEADER_LEN:]
+        dst, src, ethertype = ETH_LAYOUT.unpack_from(frame)
+        return cls(mac_str(dst), mac_str(src), ethertype), \
+            frame[ETH_HEADER_LEN:]
 
 
 class Ipv4Header:
@@ -118,21 +142,20 @@ class Ipv4Header:
         self.ttl = ttl
 
     def pack(self):
-        header = struct.pack(
-            "!BBHHHBBH4s4s",
-            0x45, 0, self.total_len, self.ident, 0,
-            self.ttl, self.proto, 0,
-            ip_bytes(self.src), ip_bytes(self.dst),
-        )
-        csum = checksum16(header)
-        return header[:10] + struct.pack("!H", csum) + header[12:]
+        # ``checksum16`` over the packed bytes, not the stack's word
+        # arithmetic, so this class stays an independent reference for it.
+        header = IPV4_LAYOUT.pack(0x45, 0, self.total_len, self.ident, 0,
+                                  self.ttl, self.proto, 0,
+                                  ip_bytes(self.src), ip_bytes(self.dst))
+        return (header[:10] + checksum16(header).to_bytes(2, "big")
+                + header[12:])
 
     @classmethod
     def unpack(cls, packet):
         if len(packet) < IP_HEADER_LEN:
             raise NetworkError("truncated IPv4 header", reason="truncated")
         (vihl, _tos, total_len, ident, _frag, ttl, proto, _csum,
-         src, dst) = struct.unpack("!BBHHHBBH4s4s", packet[:IP_HEADER_LEN])
+         src, dst) = IPV4_LAYOUT.unpack_from(packet)
         if vihl >> 4 != 4:
             raise NetworkError("not an IPv4 packet (version %d)" % (vihl >> 4),
                                reason="version")
@@ -156,8 +179,7 @@ class TcpHeader:
         self.window = window
 
     def pack(self):
-        return struct.pack(
-            "!HHIIBBHHH",
+        return TCP_LAYOUT.pack(
             self.src_port, self.dst_port,
             self.seq & 0xFFFFFFFF, self.ack & 0xFFFFFFFF,
             5 << 4, self.flags, self.window, 0, 0,
@@ -168,7 +190,7 @@ class TcpHeader:
         if len(segment) < TCP_HEADER_LEN:
             raise NetworkError("truncated TCP header", reason="truncated")
         (src_port, dst_port, seq, ack, offset, flags, window,
-         _csum, _urg) = struct.unpack("!HHIIBBHHH", segment[:TCP_HEADER_LEN])
+         _csum, _urg) = TCP_LAYOUT.unpack_from(segment)
         data_off = (offset >> 4) * 4
         header = cls(src_port, dst_port, seq, ack, flags, window=window)
         return header, segment[data_off:]

@@ -14,6 +14,10 @@ from repro.kernel.lib import entrypoint, work
 from repro.kernel.net.headers import (
     ARP_REPLY,
     ARP_REQUEST,
+    ETH_HEADER_LEN,
+    ETH_IPV4_LAYOUT,
+    ETH_IPV4_LEN,
+    ETH_IPV4_WORDS,
     ETHERTYPE_ARP,
     ETHERTYPE_IPV4,
     ICMP_ECHO_REPLY,
@@ -22,15 +26,26 @@ from repro.kernel.net.headers import (
     PROTO_ICMP,
     PROTO_TCP,
     PROTO_UDP,
+    TCP_HEADER_LEN,
+    TCP_LAYOUT,
     ArpHeader,
     EthernetHeader,
     IcmpHeader,
-    Ipv4Header,
     TcpHeader,
     UdpHeader,
+    fold_checksum,
+    ip_bytes,
+    ip_str,
+    mac_bytes,
+    mac_str,
 )
 from repro.kernel.net.tcp import TcpConnection, TcpState
 from repro.obs import tracer as obs
+
+_MAC_BROADCAST_RAW = mac_bytes(MAC_BROADCAST)
+_ETHERTYPE_ARP_RAW = ETHERTYPE_ARP.to_bytes(2, "big")
+#: The shortest frame, and IPv4 datagram end, that holds a whole TCP header.
+_TCP_FRAME_MIN = ETH_IPV4_LEN + TCP_HEADER_LEN
 
 
 class NetworkStack:
@@ -45,6 +60,16 @@ class NetworkStack:
         self._listeners = {}   # port -> TcpConnection in LISTEN
         self._udp_queues = {}  # port -> deque of (src_ip, src_port, payload)
         self._next_ident = 1
+        # Raw forms of our own addresses: the receive path compares header
+        # fields with them and the send path packs them.
+        self._mac_raw = mac_bytes(device.mac)
+        self._ip_raw = ip_bytes(ip)
+        ip_word = int.from_bytes(self._ip_raw, "big")
+        self._ip_words = (ip_word >> 16, ip_word & 0xFFFF)
+        # Word sum of the IPv4 header fields every frame we send shares:
+        # version/IHL and TOS, TTL, and our address (RFC 1071 sums may be
+        # built in any grouping).
+        self._ip_sum = 0x4500 + (64 << 8) + sum(self._ip_words)
         self._next_port = 49152
         #: src IP of the frame currently being demuxed (handshake helper).
         self.last_src_ip = None
@@ -72,11 +97,12 @@ class NetworkStack:
         return port
 
     # -- outbound path -----------------------------------------------------------
-    def tcp_output(self, conn, header, payload):
+    def tcp_output(self, conn, seq, ack, flags, window, payload):
         """Wrap a TCP segment in IP + Ethernet and transmit it."""
         work(self.costs.tcp_segment)
-        segment = header.pack() + payload
-        self._ip_output(conn.remote_ip, PROTO_TCP, segment)
+        self._ip_output(conn.remote_ip, PROTO_TCP, TCP_LAYOUT.pack(
+            conn.local_port, conn.remote_port, seq & 0xFFFFFFFF,
+            ack & 0xFFFFFFFF, 5 << 4, flags, window, 0, 0) + payload)
 
     @entrypoint("lwip")
     def udp_send(self, src_port, dst_ip, dst_port, payload):
@@ -92,11 +118,20 @@ class NetworkStack:
             self._arp_pending.setdefault(dst_ip, []).append((proto, body))
             self._send_arp(ARP_REQUEST, MAC_BROADCAST, dst_ip)
             return
-        ip_header = Ipv4Header(self.ip, dst_ip, proto, 20 + len(body),
-                               ident=self._next_ident)
-        self._next_ident += 1
-        eth = EthernetHeader(dst_mac, self.device.mac)
-        frame = eth.pack() + ip_header.pack() + body
+        dst_raw = ip_bytes(dst_ip)
+        dst_word = int.from_bytes(dst_raw, "big")
+        total_len = 20 + len(body)
+        ident = self._next_ident
+        self._next_ident = (ident + 1) & 0xFFFF
+        # The IPv4 checksum by word arithmetic: the same integer
+        # checksum16 gives over the packed header.
+        csum = fold_checksum(self._ip_sum + proto + (dst_word >> 16)
+                             + (dst_word & 0xFFFF) + total_len + ident)
+        frame = ETH_IPV4_LAYOUT.pack(
+            mac_bytes(dst_mac), self._mac_raw, ETHERTYPE_IPV4,
+            0x45, 0, total_len, ident, 0, 64, proto, csum,
+            self._ip_raw, dst_raw,
+        ) + body
         self.frames_out += 1
         self.device.transmit(frame)
 
@@ -130,14 +165,14 @@ class NetworkStack:
         self._ip_output(dst_ip, PROTO_ICMP, header.pack(payload))
         return self._ping_ident
 
-    def _icmp_input(self, ip_header, body):
+    def _icmp_input(self, src_ip, body):
         work(self.costs.tcp_segment / 3.0)
         icmp, payload = IcmpHeader.unpack(body)
         if icmp.icmp_type == ICMP_ECHO_REQUEST:
             reply = IcmpHeader(ICMP_ECHO_REPLY, icmp.ident, icmp.seq)
-            self._ip_output(ip_header.src, PROTO_ICMP, reply.pack(payload))
+            self._ip_output(src_ip, PROTO_ICMP, reply.pack(payload))
         elif icmp.icmp_type == ICMP_ECHO_REPLY:
-            self.ping_replies.append((ip_header.src, icmp.ident, icmp.seq))
+            self.ping_replies.append((src_ip, icmp.ident, icmp.seq))
 
     # -- inbound path ---------------------------------------------------------
     @entrypoint("lwip")
@@ -161,46 +196,73 @@ class NetworkStack:
         return processed
 
     def _input(self, frame):
+        """Demultiplex one received frame in a single pass over its headers.
+
+        Malformed frames raise :class:`NetworkError` with the drop reason;
+        frames for another host are ignored.  The checks run in header
+        order: Ethernet length, destination MAC, ARP, IPv4 length, version,
+        checksum, destination IP, then the transport header.
+        """
         self.frames_in += 1
-        eth, packet = EthernetHeader.unpack(frame)
-        if eth.dst not in (self.device.mac, MAC_BROADCAST):
+        size = len(frame)
+        if size < ETH_HEADER_LEN:
+            raise NetworkError("runt ethernet frame (%d bytes)" % size,
+                               reason="runt")
+        dst_mac = frame[:6]
+        if dst_mac != self._mac_raw and dst_mac != _MAC_BROADCAST_RAW:
             return  # not addressed to us
-        if eth.ethertype == ETHERTYPE_ARP:
-            self._arp_input(packet)
+        if frame[12:14] == _ETHERTYPE_ARP_RAW:
+            self._arp_input(frame[ETH_HEADER_LEN:])
             return
-        ip_header, body = Ipv4Header.unpack(packet)
-        if ip_header.dst != self.ip:
+        if size < ETH_IPV4_LEN:
+            raise NetworkError("truncated IPv4 header", reason="truncated")
+        (_, src_mac, _, w0, total_len, ident, frag, ttl_proto, csum,
+         src_hi, src_lo, dst_hi, dst_lo) = ETH_IPV4_WORDS.unpack_from(frame)
+        if w0 >> 12 != 4:
+            raise NetworkError("not an IPv4 packet (version %d)" % (w0 >> 12),
+                               reason="version")
+        if fold_checksum(w0 + total_len + ident + frag + ttl_proto + csum
+                         + src_hi + src_lo + dst_hi + dst_lo):
+            raise NetworkError("IPv4 header checksum mismatch",
+                               reason="checksum")
+        if (dst_hi, dst_lo) != self._ip_words:
             return  # promiscuous frames are dropped
         work(self.costs.ip_route)
-        self.last_src_ip = ip_header.src
+        src_ip = ip_str(frame[26:30])
+        self.last_src_ip = src_ip
         # Opportunistic ARP learning from traffic we accept.
-        self.arp_table.setdefault(ip_header.src, eth.src)
-        if ip_header.proto == PROTO_TCP:
-            self._tcp_input(ip_header, body)
-        elif ip_header.proto == PROTO_UDP:
-            self._udp_input(ip_header, body)
-        elif ip_header.proto == PROTO_ICMP:
-            self._icmp_input(ip_header, body)
+        if src_ip not in self.arp_table:
+            self.arp_table[src_ip] = mac_str(src_mac)
+        proto = ttl_proto & 0xFF
+        end = ETH_HEADER_LEN + total_len  # the IPv4 datagram ends here
+        if proto == PROTO_TCP:
+            work(self.costs.tcp_segment)
+            if end < _TCP_FRAME_MIN or size < _TCP_FRAME_MIN:
+                raise NetworkError("truncated TCP header", reason="truncated")
+            (src_port, dst_port, seq, ack, offset, flags, window, _,
+             _) = TCP_LAYOUT.unpack_from(frame, ETH_IPV4_LEN)
+            conn = self._conns.get((self.ip, dst_port, src_ip, src_port))
+            if conn is None:
+                conn = self._listeners.get(dst_port)
+            if conn is None:
+                return  # no socket: real stacks send RST; we drop.
+            conn.on_segment(
+                TcpHeader(src_port, dst_port, seq, ack, flags, window),
+                frame[ETH_IPV4_LEN + (offset >> 4) * 4:end],
+            )
+        elif proto == PROTO_UDP:
+            self._udp_input(src_ip, frame[ETH_IPV4_LEN:end])
+        elif proto == PROTO_ICMP:
+            self._icmp_input(src_ip, frame[ETH_IPV4_LEN:end])
         else:
-            raise NetworkError("unknown IP proto %d" % ip_header.proto,
+            raise NetworkError("unknown IP proto %d" % proto,
                                reason="proto")
 
-    def _tcp_input(self, ip_header, body):
-        work(self.costs.tcp_segment)
-        header, payload = TcpHeader.unpack(body)
-        key = (self.ip, header.dst_port, ip_header.src, header.src_port)
-        conn = self._conns.get(key)
-        if conn is None:
-            conn = self._listeners.get(header.dst_port)
-        if conn is None:
-            return  # no socket: real stacks send RST; we drop.
-        conn.on_segment(header, payload)
-
-    def _udp_input(self, ip_header, body):
+    def _udp_input(self, src_ip, body):
         work(self.costs.tcp_segment / 2.0)
         header, payload = UdpHeader.unpack(body)
         queue = self._udp_queues.setdefault(header.dst_port, deque())
-        queue.append((ip_header.src, header.src_port, payload))
+        queue.append((src_ip, header.src_port, payload))
 
     # -- TCP control entry points ----------------------------------------------
     @entrypoint("lwip")

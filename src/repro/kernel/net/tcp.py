@@ -19,7 +19,7 @@ import enum
 from collections import deque
 
 from repro.errors import NetworkError
-from repro.kernel.net.headers import ACK, FIN, PSH, SYN, TcpHeader
+from repro.kernel.net.headers import ACK, FIN, PSH, SYN
 from repro.obs import tracer as obs
 
 #: Maximum segment size for a standard 1500-byte MTU.
@@ -98,17 +98,13 @@ class TcpConnection:
     def _emit(self, flags, payload=b"", seq=None):
         window = self.recv_window()
         self._advertised_zero = window < MSS  # effectively closed
-        header = TcpHeader(
-            self.local_port, self.remote_port,
-            self.snd_nxt if seq is None else seq,
-            self.rcv_nxt, flags, window=window,
-        )
         self.segments_out += 1
         tracer = obs.ACTIVE
         if tracer.enabled:
             tracer.tcp_segment("tx", flags, len(payload),
                                port=self.local_port)
-        self.stack.tcp_output(self, header, payload)
+        self.stack.tcp_output(self, self.snd_nxt if seq is None else seq,
+                              self.rcv_nxt, flags, window, payload)
 
     def open_active(self, remote_ip, remote_port):
         """Client side: send SYN."""
@@ -266,12 +262,18 @@ class TcpConnection:
     def _take_ack(self, header):
         if header.flags & ACK:
             self.snd_wnd = header.window
-            if header.ack > self.snd_una:
-                self.snd_una = header.ack
-                self._inflight = [
-                    (seq, chunk, at) for seq, chunk, at in self._inflight
-                    if seq + len(chunk) > self.snd_una
-                ]
+            una = header.ack
+            if una > self.snd_una:
+                self.snd_una = una
+                # In-flight segments are in sequence order, so the fully
+                # acknowledged ones are a prefix: retire it in place.
+                inflight = self._inflight
+                done = 0
+                for seq, chunk, _ in inflight:
+                    if seq + len(chunk) > una:
+                        break
+                    done += 1
+                del inflight[:done]
             # The window may have opened: drain what now fits.
             self._flush_backlog()
 

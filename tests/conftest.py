@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.core.config import CompartmentSpec, SafetyConfig
 from repro.core.toolchain.build import build_image
 from repro.core.vm import FlexOSInstance, Machine
 from repro.hw.costs import CostModel
+
+# A deeper, reproducible Hypothesis run for CI jobs that opt in with
+# ``--hypothesis-profile=ci``; the default profile keeps tier-1 fast.
+settings.register_profile("ci", max_examples=2000, derandomize=True)
 
 
 @pytest.fixture
