@@ -9,13 +9,17 @@ annotated by the programmer, otherwise analysis reports them.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.core.toolchain.sources import Call, IndirectCall
 
 
 def build_callgraph(tree):
-    """Function-level DiGraph; nodes are ``lib:func`` strings."""
+    """Function-level DiGraph; nodes are ``lib:func`` strings.
+
+    networkx is imported here, not at module level: building an image
+    never needs the graph, and the import costs more than the build.
+    """
+    import networkx as nx
+
     graph = nx.DiGraph()
     for func in tree.functions():
         graph.add_node(func.qualified, library=func.library)

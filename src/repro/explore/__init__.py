@@ -6,7 +6,8 @@
 * :mod:`repro.explore.safety` — the probabilistic safety partial order
   over configurations (compartment refinement, data isolation, stackable
   hardening, mechanism strength).
-* :mod:`repro.explore.poset` — the configuration poset as a networkx DAG.
+* :mod:`repro.explore.poset` — the configuration poset: the safety
+  relation as integer bitsets and its Hasse diagram.
 * :mod:`repro.explore.explorer` — the evaluation API:
   :class:`ExplorationRequest` in, :class:`ExplorationResult` out, plus
   the serial reference walker.

@@ -193,14 +193,14 @@ def explore_serial(request):
     layouts, evaluator, _ = request.resolved()  # reference: never cached
     poset = ConfigPoset(layouts)
     result = ExplorationResult(poset, request.budget, evaluator.objective)
-    failed = set()
+    failed = 0  # mask of failed and pruned configurations
 
     for name in poset.topological_order():
-        if request.assume_monotonic and (poset.less_safe_than(name) & failed):
+        if request.assume_monotonic and poset.less_safe_mask(name) & failed:
             # Some less-safe configuration already misses the budget; this
             # one can only be slower.
             result.pruned.add(name)
-            failed.add(name)
+            failed |= poset.bit(name)
             continue
         try:
             performance = as_measurement(
@@ -213,7 +213,7 @@ def explore_serial(request):
         if performance.value >= request.budget:
             result.passing.add(name)
         else:
-            failed.add(name)
+            failed |= poset.bit(name)
 
     return _finalize(result)
 

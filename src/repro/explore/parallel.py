@@ -31,8 +31,6 @@ return :class:`~repro.explore.measurement.Measurement` payloads.
 
 from __future__ import annotations
 
-import multiprocessing
-
 from repro.errors import ExplorationError
 from repro.explore.cache import evaluation_key
 from repro.explore.explorer import (
@@ -57,7 +55,7 @@ def antichain_waves(poset):
     level = {}
     for name in poset.topological_order():
         level[name] = 1 + max(
-            (level[p] for p in poset.graph.predecessors(name)), default=-1,
+            (level[p] for p in poset.hasse_predecessors(name)), default=-1,
         )
     waves = [[] for _ in range(max(level.values()) + 1)] if level else []
     for name, wave_index in level.items():
@@ -122,20 +120,22 @@ def run_exploration(request):
     layouts, evaluator, cache = request.resolved()
     poset = ConfigPoset(layouts)
     result = ExplorationResult(poset, request.budget, evaluator.objective)
-    failed = set()
+    failed = 0  # mask of failed and pruned configurations
     tracer = get_tracer()
     jobs = int(request.jobs)
     pool = None
     try:
         if jobs > 1:
+            import multiprocessing  # only a pool needs it
+
             pool = multiprocessing.get_context("spawn").Pool(jobs)
         for index, wave in enumerate(antichain_waves(poset)):
             scheduled = []
             for name in wave:
                 if request.assume_monotonic and \
-                        (poset.less_safe_than(name) & failed):
+                        poset.less_safe_mask(name) & failed:
                     result.pruned.add(name)
-                    failed.add(name)
+                    failed |= poset.bit(name)
                     continue
                 scheduled.append(name)
 
@@ -173,7 +173,7 @@ def run_exploration(request):
                 if performance.value >= request.budget:
                     result.passing.add(name)
                 else:
-                    failed.add(name)
+                    failed |= poset.bit(name)
             if tracer.enabled:
                 tracer.explore_wave(
                     index, scheduled=len(scheduled), evaluated=len(values),

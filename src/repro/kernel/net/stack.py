@@ -44,6 +44,7 @@ from repro.obs import tracer as obs
 
 _MAC_BROADCAST_RAW = mac_bytes(MAC_BROADCAST)
 _ETHERTYPE_ARP_RAW = ETHERTYPE_ARP.to_bytes(2, "big")
+_ETHERTYPE_IPV4_RAW = ETHERTYPE_IPV4.to_bytes(2, "big")
 #: The shortest frame, and IPv4 datagram end, that holds a whole TCP header.
 _TCP_FRAME_MIN = ETH_IPV4_LEN + TCP_HEADER_LEN
 
@@ -200,8 +201,9 @@ class NetworkStack:
 
         Malformed frames raise :class:`NetworkError` with the drop reason;
         frames for another host are ignored.  The checks run in header
-        order: Ethernet length, destination MAC, ARP, IPv4 length, version,
-        checksum, destination IP, then the transport header.
+        order: Ethernet length, destination MAC, ethertype (ARP, IPv4 or
+        dropped), IPv4 length, version, checksum, destination IP, then the
+        transport header.
         """
         self.frames_in += 1
         size = len(frame)
@@ -211,9 +213,13 @@ class NetworkStack:
         dst_mac = frame[:6]
         if dst_mac != self._mac_raw and dst_mac != _MAC_BROADCAST_RAW:
             return  # not addressed to us
-        if frame[12:14] == _ETHERTYPE_ARP_RAW:
+        ethertype = frame[12:14]
+        if ethertype == _ETHERTYPE_ARP_RAW:
             self._arp_input(frame[ETH_HEADER_LEN:])
             return
+        if ethertype != _ETHERTYPE_IPV4_RAW:
+            raise NetworkError("unknown ethertype 0x%s" % ethertype.hex(),
+                               reason="ethertype")
         if size < ETH_IPV4_LEN:
             raise NetworkError("truncated IPv4 header", reason="truncated")
         (_, src_mac, _, w0, total_len, ident, frag, ttl_proto, csum,

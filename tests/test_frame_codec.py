@@ -113,6 +113,9 @@ def reference_input(stack, frame, charge):
     if eth.ethertype == ETHERTYPE_ARP:
         stack._arp_input(packet)
         return
+    if eth.ethertype != ETHERTYPE_IPV4:
+        raise NetworkError("unknown ethertype 0x%04x" % eth.ethertype,
+                           reason="ethertype")
     ip_header, body = Ipv4Header.unpack(packet)
     if ip_header.dst != stack.ip:
         return
@@ -342,6 +345,15 @@ class TestReceive:
                           for n in range(len(frame) + 1))
         assert reasons == {"runt": 14, "truncated": 40, None: 16}
 
+    @pytest.mark.parametrize("ethertype", [b"\x86\xdd", b"\x00\x00"],
+                             ids=["ipv6", "zero"])
+    def test_foreign_ethertype_is_dropped(self, ethertype):
+        frame = sample_frame()
+        result = assert_same_outcome(frame[:12] + ethertype + frame[14:])
+        assert result["dropped"] == "ethertype"
+        assert result["conn"] == result["listener"] == []
+        assert result["charges"] == [] and result["arp"] == {}
+
     def test_every_single_bit_flip(self):
         frame = sample_frame()
         for bit in range(len(frame) * 8):
@@ -495,6 +507,7 @@ HOSTILE = [
     ("checksum", lambda f: f[:22] + bytes([f[22] ^ 0x01]) + f[23:]),
     ("version", lambda f: _rechecksummed(f, 14, 0x65)),
     ("proto", lambda f: _rechecksummed(f, 23, 99)),
+    ("ethertype", lambda f: f[:12] + b"\x86\xdd" + f[14:]),  # IPv6
     ("truncated", lambda f: _rechecksummed(f, 17, 30)),  # total_len 30
     (None, lambda f: b"\x02\x00\x00\x00\x00\x99" + f[6:]),  # other MAC
     (None, lambda f: _rechecksummed(f, 33, f[33] ^ 0x40)),  # other IP

@@ -1,9 +1,10 @@
-"""The factored poset build against the brute-force reference.
+"""The factored bitset poset build against the brute-force reference.
 
-:class:`ConfigPoset` reads the safety relation off per-factor tables and
-computes the Hasse diagram directly.  The reference here is the
-definition: ``safety_leq`` over all ordered pairs, networkx's transitive
-reduction, and a BFS per ancestor/descendant query.
+:class:`ConfigPoset` reads the safety relation off per-factor masks and
+computes the Hasse diagram by covering.  The reference here is the
+definition, built from ``naive_edges`` alone: ``safety_leq`` over all
+ordered pairs, networkx's transitive reduction and topological sort, and
+a BFS per ancestor/descendant query.
 """
 
 import json
@@ -30,16 +31,39 @@ def naive_edges(layouts):
             if a.name != b.name and safety_leq(a, b)]
 
 
+def reference_hasse(layouts, full):
+    """The transitive reduction of ``full``, nodes and edges in layout
+    order (the order the explorer's walk must follow)."""
+    position = {layout.name: i for i, layout in enumerate(layouts)}
+    hasse = nx.DiGraph()
+    hasse.add_nodes_from(layout.name for layout in layouts)
+    hasse.add_edges_from(sorted(
+        nx.transitive_reduction(full).edges,
+        key=lambda edge: (position[edge[0]], position[edge[1]])))
+    return hasse
+
+
 def assert_matches_reference(layouts):
     poset = ConfigPoset(layouts)
-    full = poset._full
-    assert list(full.nodes) == [layout.name for layout in layouts]
-    assert list(full.edges) == naive_edges(layouts)
-    assert set(poset.graph.edges) == \
-        set(nx.transitive_reduction(full).edges)
-    for name in poset.layouts:
-        assert poset.less_safe_than(name) == nx.ancestors(full, name)
+    names = [layout.name for layout in layouts]
+    full = nx.DiGraph()
+    full.add_nodes_from(names)
+    full.add_edges_from(naive_edges(layouts))
+    hasse = reference_hasse(layouts, full)
+    assert list(poset.layouts) == names
+    assert len(poset) == len(names)
+    assert poset.edges() == list(hasse.edges)
+    assert poset.topological_order() == list(nx.topological_sort(hasse))
+    for name in names:
+        below = nx.ancestors(full, name)
+        assert poset.less_safe_than(name) == below
         assert poset.safer_than(name) == nx.descendants(full, name)
+        assert {other for other in names if
+                poset.less_safe_mask(name) & poset.bit(other)} == below
+        assert poset.hasse_predecessors(name) == \
+            list(hasse.predecessors(name))
+    assert poset.minimal_elements() == \
+        [n for n in names if full.in_degree(n) == 0]
     sinks = sorted(n for n in full if full.out_degree(n) == 0)
     assert poset.maximal_elements() == sinks
     assert poset.check_invariants()
@@ -84,7 +108,7 @@ def test_build_matches_reference(space):
 def test_shuffled_layout_order_keeps_layout_order():
     layouts = generate_fig6_space()[::-1]
     poset = assert_matches_reference(layouts)
-    assert list(poset.graph) == [layout.name for layout in layouts]
+    assert list(poset.layouts) == [layout.name for layout in layouts]
 
 
 EXTRA = ("vfscore",)
@@ -156,7 +180,7 @@ poset = ConfigPoset(layouts)
 result = explore_serial(ExplorationRequest(
     layouts=layouts, evaluator=ProfileEvaluator(app="redis"),
     budget=500_000))
-print(json.dumps([list(poset.graph.edges), poset.topological_order(),
+print(json.dumps([poset.edges(), poset.topological_order(),
                   list(result.measurements)]))
 """
 
